@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check lint lint-report lint-diff check chaos chaos-crash chaos-cluster chaos-partition chaos-trace bench wirebench wirebench-smoke clusterbench clusterbench-smoke fuzz
+.PHONY: all build test race vet fmt-check lint lint-report lint-diff check chaos chaos-crash chaos-cluster chaos-partition chaos-trace bench fuzz
 
 all: check
 
@@ -42,9 +42,13 @@ lint-report:
 
 ## chaos: the fault-injection suite under the race detector — seeded
 ## error/disconnect/latency injection through pipeline, store and transport,
-## asserting bit-identical results and leak-free churn (DESIGN.md §10)
+## asserting bit-identical results and leak-free churn (DESIGN.md §10).
+## The root suite's causal spans + decision events land in chaos-spans.jsonl
+## (several runs share the stream; sftrace's last-wins duplicate handling
+## absorbs the ID reuse).
 chaos:
-	$(GO) test -race -run 'TestChaos' -v ./...
+	rm -f chaos-spans.jsonl
+	SMARTFLUX_CHAOS_SPAN_OUT=$(CURDIR)/chaos-spans.jsonl $(GO) test -race -run 'TestChaos' -v ./...
 
 ## chaos-crash: the crash-durability suite under the race detector — seeded
 ## crashes mid-WAL, at wave boundaries, during snapshots and with torn final
@@ -72,62 +76,32 @@ chaos-partition:
 	rm -f partition-spans.jsonl
 	SMARTFLUX_CHAOS_SPAN_OUT=$(CURDIR)/partition-spans.jsonl $(GO) test -race -run 'TestPartitionChaos' -v .
 
-## chaos-trace: the chaos suite with span emission enabled — every run
-## appends causal spans + decision events to chaos-spans.jsonl (several runs
-## share the stream; sftrace's last-wins duplicate handling absorbs the ID
-## reuse), then sftrace analyzes it offline into sftrace-report.txt. CI
-## uploads both as artifacts.
+## chaos-trace: sftrace's offline analysis of the chaos suite's span stream
+## into sftrace-report.txt (CI uploads both as artifacts). Reuses the
+## chaos-spans.jsonl a `make chaos` (or `make check`) run left behind, and
+## runs the chaos suite first only when there is none.
 chaos-trace:
-	rm -f chaos-spans.jsonl
-	SMARTFLUX_CHAOS_SPAN_OUT=$(CURDIR)/chaos-spans.jsonl $(GO) test -race -run 'TestChaos' .
+	@[ -s chaos-spans.jsonl ] || $(MAKE) --no-print-directory chaos
 	$(GO) run ./cmd/sftrace -waves 6 chaos-spans.jsonl > sftrace-report.txt
 	@head -n 40 sftrace-report.txt
 
-## wirebench: the kvnet wire benchmark (gob baseline vs binary framed codec,
-## sync vs pipelined, 1/8/64 clients) writing BENCH_PR7.json (DESIGN.md §13).
-## The ≥8-client cells need GOMAXPROCS >= 4 or -force.
-wirebench:
-	$(GO) run ./cmd/wirebench -force -out BENCH_PR7.json
-
-## wirebench-smoke: tiny-op-count wirebench pass — a correctness smoke for the
-## benchmark harness itself (numbers meaningless); part of make check
-wirebench-smoke:
-	$(GO) run ./cmd/wirebench -smoke -force -out /tmp/wirebench-smoke.json
-
-## clusterbench: sharded-vs-single throughput and failover-blip latency for
-## the kvstore cluster (1 vs 3 shards, a seeded shard-kill run measuring the
-## probe-driven promotion blip, and an asymmetric link-cut run measuring the
-## fenced-failover blip — both checking no acked write was lost), writing
-## BENCH_PR10.json (DESIGN.md §14–15)
-clusterbench:
-	$(GO) run ./cmd/clusterbench -out BENCH_PR10.json
-
-## clusterbench-smoke: tiny-op-count clusterbench pass — a correctness smoke
-## for the cluster bench harness (numbers meaningless); part of make check
-clusterbench-smoke:
-	$(GO) run ./cmd/clusterbench -smoke -out /tmp/clusterbench-smoke.json
-
-## fuzz: run the wire-protocol fuzzers for 30s each (nightly CI job; crashers
-## land in internal/kvstore/wire/testdata/fuzz and are uploaded as artifacts).
+## fuzz: run the fuzzers for 30s each (nightly CI job; crashers land in the
+## package's testdata/fuzz directory and are uploaded as artifacts) — the
+## wire-protocol readers, the metric DSL parser and the workflow spec builder.
 ## Separate invocations: `go test -fuzz` accepts only one target at a time.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 30s ./internal/kvstore/wire
 	$(GO) test -run xxx -fuzz 'FuzzReader$$' -fuzztime 30s ./internal/kvstore/wire
+	$(GO) test -run xxx -fuzz FuzzParseDSL -fuzztime 30s ./internal/metric
+	$(GO) test -run xxx -fuzz FuzzSpecBuild -fuzztime 30s ./internal/workflow
 
 ## check: the pre-PR gate — build, vet, gofmt, lint, tests, race, chaos,
-## chaos-crash, chaos-cluster, chaos-partition, and the
-## wirebench/clusterbench smoke passes
-check: build vet fmt-check lint test race chaos chaos-crash chaos-cluster chaos-partition wirebench-smoke clusterbench-smoke
+## chaos-crash, chaos-cluster and chaos-partition
+check: build vet fmt-check lint test race chaos chaos-crash chaos-cluster chaos-partition
 
-## bench: overhead microbenchmarks (§5.3 + instrumentation overhead), the
-## serial-vs-parallel comparison (BENCH_PR2.json) and the WAL-on vs WAL-off
-## wave-throughput comparison (BENCH_PR5.json)
+## bench: overhead microbenchmarks (§5.3 + instrumentation overhead) and the
+## serial-vs-parallel wave and forest-fit comparison. End-to-end and
+## per-layer numbers come from `bash pipebench/run.sh --workload W --trace 0|1`.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkOverhead' -benchtime 1000x .
 	$(GO) test -run xxx -bench 'BenchmarkRunWave|BenchmarkForestFit' -benchtime 10x .
-	$(GO) run ./cmd/parbench -out BENCH_PR2.json
-	@cat BENCH_PR2.json
-	$(GO) run ./cmd/durbench -out BENCH_PR5.json
-	@cat BENCH_PR5.json
-	$(GO) run ./cmd/clusterbench -out BENCH_PR10.json
-	@cat BENCH_PR10.json

@@ -56,6 +56,9 @@ func run(args []string, out io.Writer) error {
 	}
 	var fsyncMode smartflux.FsyncMode
 	if *walDir != "" {
+		if *policy != "smartflux" {
+			return fmt.Errorf("-wal-dir requires -policy smartflux")
+		}
 		var err error
 		if fsyncMode, err = smartflux.ParseFsyncMode(*fsyncFlag); err != nil {
 			return err

@@ -58,6 +58,13 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-wal-dir", t.TempDir(), "-fsync", "bogus", "-apply", "1"}, &buf); err == nil {
 		t.Error("bad fsync mode must fail")
 	}
+	walDir := filepath.Join(t.TempDir(), "wal")
+	if err := run([]string{"-workload", "firerisk", "-policy", "seq3", "-apply", "1", "-wal-dir", walDir}, &buf); err == nil || !strings.Contains(err.Error(), "-policy smartflux") {
+		t.Errorf("-wal-dir with a plain policy must fail, got %v", err)
+	}
+	if _, err := os.Stat(walDir); !os.IsNotExist(err) {
+		t.Errorf("rejected -wal-dir run must not create %s: %v", walDir, err)
+	}
 	if err := run([]string{"-resume", "-apply", "1"}, &buf); err == nil {
 		t.Error("-resume without -wal-dir must fail")
 	}

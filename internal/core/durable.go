@@ -35,7 +35,6 @@ const (
 const (
 	phaseLabelTraining    = "training"
 	phaseLabelApplication = "application"
-	phaseLabelHarness     = "harness"
 )
 
 // PredictorParams is the serializable form of a trained Predictor: the
@@ -179,7 +178,7 @@ func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
 // state at the boundary, the finished training result (application phase
 // only) and the session state.
 type PipelineCheckpoint struct {
-	Phase      string // "training", "application" or "harness"
+	Phase      string // "training" or "application"
 	TrainWaves int
 	ApplyWaves int
 	Train      *engine.Result
@@ -236,7 +235,7 @@ type DurableRunInfo struct {
 // number (training waves, then application waves).
 type pipelineCommitter struct {
 	mgr        *durable.Manager
-	session    *Session // nil for harness-only runs
+	session    *Session
 	phase      string
 	base       int // global wave offset of the current phase
 	train      *engine.Result
@@ -261,13 +260,11 @@ func (c *pipelineCommitter) checkpoint(hcp *engine.HarnessCheckpoint) (*Pipeline
 		Harness:    hcp,
 		Train:      c.train,
 	}
-	if c.session != nil {
-		scp, err := c.session.Checkpoint()
-		if err != nil {
-			return nil, err
-		}
-		pcp.Session = scp
+	scp, err := c.session.Checkpoint()
+	if err != nil {
+		return nil, err
 	}
+	pcp.Session = scp
 	return pcp, nil
 }
 
@@ -416,8 +413,8 @@ func ResumePipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg P
 	if err != nil {
 		return nil, nil, err
 	}
-	if pcp.Phase == phaseLabelHarness {
-		return nil, nil, fmt.Errorf("core: %s holds a harness-only run; use ResumeHarness", opts.Dir)
+	if pcp.Phase != phaseLabelTraining && pcp.Phase != phaseLabelApplication {
+		return nil, nil, fmt.Errorf("core: checkpoint in %s has unknown phase %q", opts.Dir, pcp.Phase)
 	}
 	if pcp.TrainWaves != cfg.TrainWaves || pcp.ApplyWaves != cfg.ApplyWaves {
 		return nil, nil, fmt.Errorf("core: checkpoint is a %d+%d wave run, config wants %d+%d",
@@ -542,129 +539,4 @@ func finishPipeline(harness *engine.Harness, session *Session, cfg PipelineConfi
 		Test:    report,
 		Session: session,
 	}, nil
-}
-
-// RunHarnessDurable runs a bare harness (no learning session) for `waves`
-// waves under decider with crash durability; the committed checkpoints use
-// phase "harness".
-func RunHarnessDurable(build engine.BuildFunc, reportSteps []workflow.StepID, waves int, decider engine.Decider, hcfg engine.HarnessConfig, opts DurableOptions) (*engine.Result, *DurableRunInfo, error) {
-	rec, err := durable.Recover(opts.Dir, opts.Obs)
-	if err != nil {
-		return nil, nil, err
-	}
-	if rec != nil {
-		return nil, nil, fmt.Errorf("core: %s already holds durable state at wave %d; use ResumeHarness", opts.Dir, rec.Wave)
-	}
-	committer := &pipelineCommitter{phase: phaseLabelHarness, trainWaves: waves}
-	hcfg.Committer = committer
-	harness, err := engine.NewHarnessWithConfig(build, reportSteps, hcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if opts.Obs != nil {
-		harness.Instrument(opts.Obs)
-	}
-	mgr, err := openPipelineManager(harness, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	committer.mgr = mgr
-
-	res, err := func() (*engine.Result, error) {
-		initial, err := committer.checkpoint(nil)
-		if err != nil {
-			return nil, err
-		}
-		blob, err := encodePipelineCheckpoint(initial)
-		if err != nil {
-			return nil, err
-		}
-		if err := mgr.Begin(0, blob); err != nil {
-			return nil, err
-		}
-		return harness.Run(waves, decider)
-	}()
-	info := &DurableRunInfo{Durable: mgr.Stats()}
-	if cerr := mgr.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
-	if err != nil {
-		dumpFlightRecorder(opts.Dir, opts.Obs)
-		return nil, info, err
-	}
-	info.Durable = mgr.Stats()
-	return res, info, nil
-}
-
-// ResumeHarness continues a crashed RunHarnessDurable run.
-func ResumeHarness(build engine.BuildFunc, reportSteps []workflow.StepID, waves int, decider engine.Decider, hcfg engine.HarnessConfig, opts DurableOptions) (*engine.Result, *DurableRunInfo, error) {
-	rec, err := durable.Recover(opts.Dir, opts.Obs)
-	if err != nil {
-		return nil, nil, err
-	}
-	if rec == nil {
-		return nil, nil, fmt.Errorf("core: no durable state in %s to resume", opts.Dir)
-	}
-	pcp, err := decodePipelineCheckpoint(rec.Payload)
-	if err != nil {
-		return nil, nil, err
-	}
-	if pcp.Phase != phaseLabelHarness {
-		return nil, nil, fmt.Errorf("core: %s holds a %s-phase pipeline run; use ResumePipeline", opts.Dir, pcp.Phase)
-	}
-	if pcp.TrainWaves != waves {
-		return nil, nil, fmt.Errorf("core: checkpoint is a %d-wave run, config wants %d", pcp.TrainWaves, waves)
-	}
-	committer := &pipelineCommitter{phase: phaseLabelHarness, trainWaves: waves}
-	hcfg.Committer = committer
-	harness, err := engine.NewHarnessWithConfig(build, reportSteps, hcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if opts.Obs != nil {
-		harness.Instrument(opts.Obs)
-	}
-	if err := rec.Apply(durableLiveStore, harness.Live().Store()); err != nil {
-		return nil, nil, err
-	}
-	if err := rec.Apply(durableRefStore, harness.Ref().Store()); err != nil {
-		return nil, nil, err
-	}
-	var res *engine.Result
-	if pcp.Harness != nil {
-		res, err = harness.RestoreCheckpoint(pcp.Harness, decider)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	mgr, err := openPipelineManager(harness, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	committer.mgr = mgr
-
-	out, err := func() (*engine.Result, error) {
-		if err := mgr.Begin(rec.Wave, rec.Payload); err != nil {
-			return nil, err
-		}
-		if res == nil {
-			return harness.Run(waves, decider)
-		}
-		if remaining := waves - res.Waves; remaining > 0 {
-			if err := harness.ResumeRun(res, remaining, decider); err != nil {
-				return nil, err
-			}
-		}
-		return res, nil
-	}()
-	info := &DurableRunInfo{Resumed: true, Recovery: rec.Stats, Durable: mgr.Stats()}
-	if cerr := mgr.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
-	if err != nil {
-		dumpFlightRecorder(opts.Dir, opts.Obs)
-		return nil, info, err
-	}
-	info.Durable = mgr.Stats()
-	return out, info, nil
 }

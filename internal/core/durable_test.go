@@ -6,8 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"smartflux/internal/durable"
 	"smartflux/internal/engine"
 	"smartflux/internal/fault"
+	"smartflux/internal/kvstore"
 )
 
 // durablePipelineConfig is the shared workload configuration for durability
@@ -350,40 +352,33 @@ func TestResumePipelineTwiceCrashSurvivesBoth(t *testing.T) {
 	equalPipelineResult(t, plain, res)
 }
 
-func TestHarnessDurableCrashResumeBitIdentical(t *testing.T) {
-	const waves = 30
-	clean, _, err := RunHarnessDurable(miniWorkload(), nil, waves, engine.NewRandom(0.5, 7), engine.HarnessConfig{}, DurableOptions{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	inj := fault.New(fault.Policy{CrashPoints: map[string]int{"wal_append": 200}})
-	_, _, err = RunHarnessDurable(miniWorkload(), nil, waves, engine.NewRandom(0.5, 7), engine.HarnessConfig{}, DurableOptions{Dir: dir, Hook: inj.OpHook()})
-	if !errors.Is(err, fault.ErrCrashed) {
-		t.Fatalf("crash run: got %v", err)
-	}
-	res, info, err := ResumeHarness(miniWorkload(), nil, waves, engine.NewRandom(0.5, 7), engine.HarnessConfig{}, DurableOptions{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Resumed || info.Recovery.Wave <= 0 {
-		t.Errorf("resume info: %+v", info)
-	}
-	equalResult(t, "harness", clean, res)
-}
-
+// TestResumeKindMismatch commits checkpoints whose phase no pipeline run
+// writes and expects ResumePipeline to refuse them instead of resuming them
+// as training.
 func TestResumeKindMismatch(t *testing.T) {
-	pipeDir, harnessDir := t.TempDir(), t.TempDir()
-	crashPipeline(t, durablePipelineConfig(), pipeDir, 300)
-	inj := fault.New(fault.Policy{CrashPoints: map[string]int{"wal_append": 100}})
-	_, _, err := RunHarnessDurable(miniWorkload(), nil, 30, engine.NewRandom(0.5, 7), engine.HarnessConfig{}, DurableOptions{Dir: harnessDir, Hook: inj.OpHook()})
-	if !errors.Is(err, fault.ErrCrashed) {
-		t.Fatalf("harness crash run: got %v", err)
-	}
-	if _, _, err := ResumeHarness(miniWorkload(), nil, 30, engine.NewRandom(0.5, 7), engine.HarnessConfig{}, DurableOptions{Dir: pipeDir}); err == nil || !strings.Contains(err.Error(), "ResumePipeline") {
-		t.Errorf("ResumeHarness on a pipeline dir must redirect, got %v", err)
-	}
-	if _, _, err := ResumePipeline(miniWorkload(), nil, durablePipelineConfig(), DurableOptions{Dir: harnessDir}); err == nil || !strings.Contains(err.Error(), "ResumeHarness") {
-		t.Errorf("ResumePipeline on a harness dir must redirect, got %v", err)
+	cfg := durablePipelineConfig()
+	for _, phase := range []string{"harness", ""} {
+		dir := t.TempDir()
+		mgr, err := durable.Open(durable.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mgr.Register(durableLiveStore, kvstore.New()); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := encodePipelineCheckpoint(&PipelineCheckpoint{Phase: phase, TrainWaves: cfg.TrainWaves, ApplyWaves: cfg.ApplyWaves})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mgr.Begin(0, blob); err != nil {
+			t.Fatal(err)
+		}
+		if err := mgr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: dir})
+		if err == nil || !strings.Contains(err.Error(), "unknown phase") {
+			t.Errorf("phase %q: ResumePipeline must reject the checkpoint, got %v", phase, err)
+		}
 	}
 }

@@ -188,13 +188,13 @@ func (s *Step) validate() error {
 	}
 	if s.Gated() {
 		if _, err := metric.Resolve(s.QoD.ImpactFunc); err != nil {
-			return fmt.Errorf("step %q impact: %w", s.ID, err)
+			return fmt.Errorf("%w: step %q impact: %w", ErrInvalidStep, s.ID, err)
 		}
 		if _, err := metric.Resolve(s.QoD.ErrorFunc); err != nil {
-			return fmt.Errorf("step %q error: %w", s.ID, err)
+			return fmt.Errorf("%w: step %q error: %w", ErrInvalidStep, s.ID, err)
 		}
 		if _, err := metric.ResolveCombiner(s.QoD.Combiner); err != nil {
-			return fmt.Errorf("step %q combiner: %w", s.ID, err)
+			return fmt.Errorf("%w: step %q combiner: %w", ErrInvalidStep, s.ID, err)
 		}
 	}
 	return nil
